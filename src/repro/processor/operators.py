@@ -12,6 +12,7 @@ from repro.ctables.assignments import Contain
 from repro.ctables.ctable import Cell, CompactTable, CompactTuple
 from repro.errors import EnumerationLimitError, EvaluationError, ExecutionFailure
 from repro.processor.bannotate import annotate_table
+from repro.processor.conditions import SummaryMemo
 from repro.processor.constraints import (
     apply_constraint_to_cell,
     apply_constraint_to_cells,
@@ -296,20 +297,22 @@ class ConditionSelect(Operator):
         return "Select[%r]" % (self.condition,)
 
 
-def apply_condition(compact_tuple, attrs, condition, context):
-    """Evaluate one condition on one tuple; None means dropped."""
+def apply_condition(compact_tuple, attrs, condition, context, memo=None):
+    """Evaluate one condition on one tuple; None means dropped.
+
+    ``memo`` is the :class:`~repro.processor.conditions.SummaryMemo`
+    of one operator execution, or ``None``.
+    """
     cells_by_attr = dict(zip(attrs, compact_tuple.cells))
-    result = condition.evaluate(cells_by_attr, context)
+    result = condition.evaluate(cells_by_attr, context, memo)
     if not result.some:
         return None
     new_tuple = compact_tuple
-    fully_filtered_expansions = 0
     involved = condition.involved
     for attr, cell in result.filtered.items():
         index = attrs.index(attr)
-        if cell.is_expansion:
-            fully_filtered_expansions += 1
-        new_tuple = new_tuple.with_cell(index, cell)
+        if cell is not new_tuple.cells[index]:
+            new_tuple = new_tuple.with_cell(index, cell)
     if not result.all:
         # Certainty survives only the single-attr expansion-cell case:
         # each surviving expansion value is its own (certain) tuple.
@@ -330,7 +333,11 @@ class JoinOp(Operator):
     Nested loops over the Cartesian product; when one condition is a
     blockable similarity p-function, a token index over the right side
     prunes pairs that share no token (they cannot satisfy the
-    condition, so pruning is exact, not approximate).
+    condition, so pruning is exact, not approximate).  One execution
+    shares a summary memo over the cells of its two input tables, so
+    each input cell is enumerated and parsed once per condition side
+    rather than once per partner tuple; a cell an earlier condition
+    filtered is summarised afresh, and nothing outlives the call.
     """
 
     def __init__(self, left, right, conditions=()):
@@ -349,9 +356,12 @@ class JoinOp(Operator):
         left_table = self.left.execute(context)
         right_table = self.right.execute(context)
         table = CompactTable(self.attrs)
+        memo = SummaryMemo(
+            cell for tuple_ in (*left_table, *right_table) for cell in tuple_.cells
+        )
         blocking = self._blocking_condition(context)
         if blocking is not None:
-            pairs = self._blocked_pairs(left_table, right_table, blocking)
+            pairs = self._blocked_pairs(left_table, right_table, blocking, memo)
         else:
             pairs = (
                 (lt, rt) for lt in left_table for rt in right_table
@@ -359,7 +369,7 @@ class JoinOp(Operator):
         for lt, rt in pairs:
             combined = CompactTuple(lt.cells + rt.cells, maybe=lt.maybe or rt.maybe)
             for condition in self.conditions:
-                combined = apply_condition(combined, self.attrs, condition, context)
+                combined = apply_condition(combined, self.attrs, condition, context, memo)
                 if combined is None:
                     break
             if combined is not None:
@@ -369,56 +379,52 @@ class JoinOp(Operator):
 
     # -- token blocking ---------------------------------------------------
     def _blocking_condition(self, context):
+        """``(condition, left side index, right side index)`` of the first
+        blockable p-function joining one attribute of each input."""
         if not context.config.blocking_joins:
             return None
         for condition in self.conditions:
             func = getattr(condition, "func", None)
             if func is not None and getattr(func, "blockable", False):
-                sides = condition.sides
-                attr_sides = [s for s in sides if not s.is_const]
-                if len(attr_sides) == 2:
-                    left_attr = next(
-                        (s.attr for s in attr_sides if s.attr in self.left.attrs), None
+                sides = list(enumerate(condition.sides))
+                if len([s for _, s in sides if not s.is_const]) == 2:
+                    left = next(
+                        (i for i, s in sides if s.attr in self.left.attrs), None
                     )
-                    right_attr = next(
-                        (s.attr for s in attr_sides if s.attr in self.right.attrs), None
+                    right = next(
+                        (i for i, s in sides if s.attr in self.right.attrs), None
                     )
-                    if left_attr and right_attr:
-                        return (condition, left_attr, right_attr)
+                    if left is not None and right is not None:
+                        return (condition, left, right)
         return None
 
-    def _blocked_pairs(self, left_table, right_table, blocking):
-        _, left_attr, right_attr = blocking
+    def _blocked_pairs(self, left_table, right_table, blocking, memo):
+        """Pairs sharing a token under the blocking condition's sides.
+
+        The token sets are those of the condition's own summaries (same
+        token definition as the ``similar`` p-function, so blocking is
+        exact: a pair that shares no token cannot satisfy a share-a-token
+        similarity), so evaluating the condition on a pair reuses them.
+        """
+        condition, left_side, right_side = blocking
+        right_column = right_table.attr_index(condition.sides[right_side].attr)
+        left_column = left_table.attr_index(condition.sides[left_side].attr)
         right_index = {}
         for position, rt in enumerate(right_table):
-            for token in _cell_tokens(rt.cells[right_table.attr_index(right_attr)]):
+            cell = rt.cells[right_column]
+            for token in condition.summary(right_side, cell, memo).tokens:
                 right_index.setdefault(token, set()).add(position)
         right_tuples = list(right_table)
-        left_index = left_table.attr_index(left_attr)
         for lt in left_table:
+            cell = lt.cells[left_column]
             candidates = set()
-            for token in _cell_tokens(lt.cells[left_index]):
+            for token in condition.summary(left_side, cell, memo).tokens:
                 candidates |= right_index.get(token, set())
             for position in sorted(candidates):
                 yield lt, right_tuples[position]
 
     def describe(self):
         return "Join[%s]" % (", ".join(repr(c) for c in self.conditions) or "cross")
-
-
-def _cell_tokens(cell):
-    """Tokens under any anchor span of a cell (same token definition as
-
-    the ``similar`` p-function, so token blocking is exact: a pair that
-    shares no token cannot satisfy a share-a-token similarity).
-    """
-    from repro.processor.library import token_set
-
-    tokens = set()
-    for assignment in cell.assignments:
-        span = assignment.anchor_span
-        tokens |= token_set(span if span is not None else assignment.value)
-    return tokens
 
 
 class ProjectOp(Operator):

@@ -12,6 +12,16 @@ import random
 __all__ = ["Corpus"]
 
 
+def _rng(seed, table_name):
+    """A generator seeded from ``seed`` and a table name.
+
+    Seeded from a string, which :class:`random.Random` hashes with
+    SHA-512: the subset is the same in every process, whatever
+    ``PYTHONHASHSEED`` salts ``hash()`` with.
+    """
+    return random.Random("%r/%s" % (seed, table_name))
+
+
 class Corpus:
     """A set of named document tables.
 
@@ -165,7 +175,7 @@ class Corpus:
                 sampled.add_table(name, [])
                 continue
             count = max(1, round(len(docs) * fraction))
-            rng = random.Random((seed, name).__hash__())
+            rng = _rng(seed, name)
             picked = sorted(rng.sample(range(len(docs)), min(count, len(docs))))
             sampled.add_table(name, [docs[i] for i in picked])
         return sampled
@@ -180,7 +190,7 @@ class Corpus:
         for table_name in self.table_names():
             docs = self._tables[table_name]
             if table_name == name and count < len(docs):
-                rng = random.Random((seed, table_name).__hash__())
+                rng = _rng(seed, table_name)
                 picked = sorted(rng.sample(range(len(docs)), count))
                 docs = [docs[i] for i in picked]
             out.add_table(table_name, docs)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.ctables.assignments import Contain, Exact, value_text
 from repro.ctables.ctable import Cell, CompactTable, CompactTuple
-from repro.errors import EnumerationLimitError, EvaluationError
+from repro.errors import EnumerationLimitError, EvaluationError, ExecutionFailure
 from repro.processor.conditions import ComparisonCondition, PFunctionCondition, make_side
 from repro.processor.context import ExecConfig, ExecutionContext
 from repro.processor.library import make_similar
@@ -18,6 +18,7 @@ from repro.processor.operators import (
     ScanExtensional,
     TableSource,
     UnionOp,
+    apply_condition,
 )
 from repro.text.corpus import Corpus
 from repro.text.document import Document
@@ -197,6 +198,69 @@ class TestJoin:
 
         assert keys(blocked) == keys(nested)
         assert len(blocked) == 2
+
+    def test_condition_reads_the_cell_an_earlier_condition_filtered(self):
+        # ``a < b`` cuts a's cell differently for each right tuple; the
+        # second condition must read the cut cell, not a summary of the
+        # uncut one remembered from an earlier pair
+        left = table_of(("a",), CompactTuple([choice(1, 5, 9)]))
+        right = table_of(("b",), CompactTuple([choice(4)]), CompactTuple([choice(10)]))
+        conditions = [
+            ComparisonCondition(make_side(attr="a"), "<", make_side(attr="b")),
+            ComparisonCondition(make_side(attr="a"), ">", make_side(const=2)),
+        ]
+        context = make_context()
+        table = JoinOp(left, right, conditions).execute(context)
+        assert [
+            ([a.value for a in t.cells[0].assignments], t.cells[1].assignments[0].value, t.maybe)
+            for t in table
+        ] == [([5, 9], 10, True)]
+        # the same as evaluating every pair from scratch
+        reference_context = make_context()
+        reference = []
+        for lt in left.table:
+            for rt in right.table:
+                combined = CompactTuple(lt.cells + rt.cells)
+                for condition in conditions:
+                    combined = apply_condition(
+                        combined, ("a", "b"), condition, reference_context
+                    )
+                    if combined is None:
+                        break
+                if combined is not None:
+                    reference.append(repr(combined))
+        assert [repr(t) for t in table] == reference
+        assert (context.stats.values_enumerated, context.stats.cap_hits) == (
+            reference_context.stats.values_enumerated,
+            reference_context.stats.cap_hits,
+        )
+
+    def test_faulting_pfunction_trips_on_the_same_combo(self):
+        docs = [Document("L%d" % i, "left %d" % i) for i in range(3)]
+        docs += [Document("R%d" % i, "right %d" % i) for i in range(2)]
+        spans = {d.doc_id: doc_span(d) for d in docs}
+        calls = []
+
+        def flaky(a, b):
+            calls.append((a.doc.doc_id, b.doc.doc_id))
+            if (a.doc.doc_id, b.doc.doc_id) == ("L1", "R1"):
+                raise RuntimeError("boom")
+            return True
+
+        left = table_of(("a",), *(CompactTuple([choice(spans["L%d" % i])]) for i in range(3)))
+        right = table_of(("b",), *(CompactTuple([choice(spans["R%d" % i])]) for i in range(2)))
+        condition = PFunctionCondition(
+            "flaky", flaky, [make_side(attr="a"), make_side(attr="b")]
+        )
+        with pytest.raises(ExecutionFailure) as excinfo:
+            JoinOp(left, right, [condition]).execute(make_context(docs))
+        failure = excinfo.value
+        assert (failure.doc_id, failure.operator, failure.predicate) == (
+            "L1", "p-function", "flaky"
+        )
+        assert failure.exc_type == "RuntimeError"
+        # left-major nested loop, stopping at the faulting pair
+        assert calls == [("L0", "R0"), ("L0", "R1"), ("L1", "R0"), ("L1", "R1")]
 
 
 class TestProjectUnion:

@@ -85,6 +85,37 @@ class TestBackendDeterminism:
         for backend in BACKENDS:
             assert outcome(4, backend) == reference
 
+    def test_t9_join_matches_across_backends(self):
+        # T9 joins two extracted tables under similar() and np < bp; the
+        # join's condition summaries live inside one execute call, so a
+        # forked worker must reproduce the serial results exactly
+        from repro.ctables.keys import table_key
+        from repro.experiments.runner import run_iflex
+        from repro.experiments.tasks import build_task
+
+        task = build_task("T9", size=30, seed=1)
+
+        def session(workers, backend):
+            run = run_iflex(task, seed=1, workers=workers, backend=backend)
+            trace = run.trace
+            key = (table_key(trace.final_result.query_table), trace.iterations)
+            return key + (trace.questions_asked,), trace.program
+
+        reference, refined = session(1, "serial")
+        assert session(2, "process")[0] == reference
+
+        # the refined program's join evaluates exact cells, not caps
+        def run(workers, backend):
+            config = ExecConfig(workers=workers, backend=backend)
+            return IFlexEngine(refined, task.corpus, config=config, validate=False).execute()
+
+        serial = run(1, "serial")
+        assert serial.stats.values_enumerated > 0
+        forked = run(4, "process")
+        assert table_key(forked.query_table) == table_key(serial.query_table)
+        assert result_image(forked) == result_image(serial)
+        assert vars(forked.stats) == vars(serial.stats)
+
     def test_maybe_flags_survive_partitioning(self):
         # two numeric candidates per document, one on each side of the
         # selection threshold, so the annotated choice cells force

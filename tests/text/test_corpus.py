@@ -253,3 +253,37 @@ class TestChunk:
     def test_chunk_size_floored_to_one(self):
         corpus = Corpus({"A": docs("a", 2)})
         assert len(corpus.chunk(0)) == 2
+
+
+_PICK_SCRIPT = """
+import json
+from repro.text.corpus import Corpus
+from repro.text.document import Document
+docs = lambda p, n: [Document("%s-%d" % (p, i), "text %d" % i) for i in range(n)]
+corpus = Corpus({"A": docs("a", 60), "B": docs("b", 40)})
+print(json.dumps({
+    "sample": {t: [d.doc_id for d in corpus.sample(0.2, seed=2).table(t)] for t in "AB"},
+    "restrict": [d.doc_id for d in corpus.restrict("A", 7, seed=5).table("A")],
+}))
+"""
+
+
+def test_subsets_do_not_depend_on_the_hash_seed():
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    picks = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _PICK_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        picks.append(json.loads(out.stdout))
+    assert picks[0] == picks[1]
+    assert len(picks[0]["sample"]["A"]) == 12 and len(picks[0]["restrict"]) == 7
