@@ -289,12 +289,16 @@ def check_plan(analyzer, program=None):
         PPredicateOp,
         UnionOp,
     )
-    from repro.processor.split import split_plan, walk_plan
+    from repro.processor.split import align, split_plan, walk_plan
 
     cost_model = CostModel()
     by_label = {(r.label, r.head.name): r for r in facts.skeleton_rules}
     report = PlanReport()
     pred_states = {}
+    # the executor's judgment of which predicates are partition-local
+    # (built in the same evaluation order), so a rule over one reports
+    # the locality the delta path actually gives it
+    aligned = {}
     for name in order:
         scouts = []
         for rule, plan in compiled.get(name, ()):
@@ -314,7 +318,7 @@ def check_plan(analyzer, program=None):
                 1 for o in ops if isinstance(o, (FromOp, PPredicateOp))
             )
             joins = sum(1 for o in ops if isinstance(o, JoinOp))
-            rule_split = split_plan(plan)
+            rule_split = split_plan(plan, aligned)
             if rule_split.fully_local:
                 locality = "local"
             elif rule_split.has_local_work:
@@ -342,7 +346,8 @@ def check_plan(analyzer, program=None):
             pred_plan = scouts[0][1]
         else:
             pred_plan = UnionOp([plan for _, plan, _, _ in scouts])
-        _check_gather(analyzer, name, pred_plan, scouts)
+        _check_gather(analyzer, name, pred_plan, scouts, aligned)
+        align(name, pred_plan, aligned)
         head_states = _head_states(pred_plan, scouts)
         pred_states[name] = head_states
     analyzer.plan_report = report
@@ -372,11 +377,11 @@ def _head_states(pred_plan, scouts):
     return [root_states.get(attr, "value") for attr in plan.attrs]
 
 
-def _check_gather(analyzer, name, pred_plan, scouts):
+def _check_gather(analyzer, name, pred_plan, scouts, aligned):
     """``ALOG021``: global suffix gathering a wide local table."""
     from repro.processor.split import split_plan
 
-    split = split_plan(pred_plan)
+    split = split_plan(pred_plan, aligned)
     if not split.has_local_work or split.fully_local:
         return
     for root in split.local_roots:

@@ -31,10 +31,11 @@ from repro.text.tokenize import NUMBER, WORD
 
 __all__ = ["LAYOUT_VERSION", "DocColumns", "build_doc_columns"]
 
-#: Bumped when the column layout changes; folded into the artifact
-#: digest so on-disk bundles from an older layout rebuild instead of
-#: silently loading wrong.
-LAYOUT_VERSION = 1
+#: Bumped when the column layout or the corpus digest definition
+#: changes; folded into the artifact digest so on-disk bundles from an
+#: older layout rebuild instead of silently loading wrong.  Version 2
+#: digests each document once (``Document.content_digest``).
+LAYOUT_VERSION = 2
 
 _I64 = np.int64
 _EMPTY = np.empty(0, dtype=_I64)

@@ -47,22 +47,18 @@ logger = get_logger("columnar")
 _I64 = np.int64
 
 
-def _doc_content(doc):
-    """The bytes a document contributes to the corpus digest."""
-    parts = [repr(doc.doc_id), repr(doc.text)]
-    for kind in sorted(doc.regions):
-        if doc.regions[kind]:
-            parts.append("%s=%r" % (kind, doc.regions[kind]))
-    return "\x1f".join(parts)
-
-
 def corpus_digest(docs):
-    """Content digest of a document collection (order-sensitive)."""
+    """Content digest of a document collection (order-sensitive).
+
+    Folds each document's cached
+    :attr:`~repro.text.document.Document.content_digest`, so re-digesting
+    a corpus (or any slice of it) hashes no document text twice.
+    """
     h = hashlib.sha256()
     h.update(("columnar-v%d" % LAYOUT_VERSION).encode("utf-8"))
     for doc in docs:
         h.update(b"\x1e")
-        h.update(_doc_content(doc).encode("utf-8"))
+        h.update(doc.content_digest)
     return h.hexdigest()[:24]
 
 

@@ -17,11 +17,13 @@ constraints commute, section 4.2) instead of re-extracting from
 scratch; anything downstream re-executes against the updated table.
 """
 
+import logging
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from repro.alog.unfold import unfold_program
+from repro.ctables.ctable import CompactTable
 from repro.errors import (
     EvaluationError,
     ExecutionFailure,
@@ -450,6 +452,8 @@ class IFlexEngine:
         #: from disk, where the same name may be bound to other code.
         self._persistable = self._persistable_predicates()
         self._docs_map = None
+        #: predicate -> rule-derived fingerprint parts (see _rule_parts)
+        self._parts = {}
 
     @property
     def active_corpus(self):
@@ -548,6 +552,7 @@ class IFlexEngine:
             self.config,
             index_store=self.index_store,
             tracer=self.tracer,
+            order=self.order,
         )
 
     def _self_recursive(self, name):
@@ -595,12 +600,20 @@ class IFlexEngine:
             self._docs_map = docs
         return self._docs_map
 
-    def _partitioned_path(self, name):
-        """Does this predicate route through the partition-keyed cache?"""
+    def _partitioned_path(self, name, slices):
+        """Does this predicate run partition by partition?
+
+        True when the corpus is partitioned and the predicate's plan is
+        document-local given the upstream ``slices`` this execution
+        holds (``{predicate: (tables, tokens)}``, one entry per
+        partition).  A scan of an upstream without slices — a whole-table
+        cache hit, say — is global, so the predicate takes the global
+        path instead; the result is the same table either way.
+        """
         return (
             self.physical is not None
             and self.physical.parallel
-            and self.physical.fully_local(name)
+            and self.physical.fully_local(name, slices)
         )
 
     def _context(self):
@@ -679,6 +692,7 @@ class IFlexEngine:
         start = time.perf_counter()
         context = self._context()
         tokens = {}
+        slices = {}
         reuse_summary = {}
         for group in self.order:
             if group in self.recursive_groups:
@@ -686,6 +700,7 @@ class IFlexEngine:
                 continue
             name = group[0]
             fingerprint = self._fingerprint(name, tokens)
+            partitioned = cache is not None and self._partitioned_path(name, slices)
             table = None
             kind = None
             with self._span("predicate:%s" % name, "plan", predicate=name):
@@ -694,8 +709,10 @@ class IFlexEngine:
                     if entry is not None and entry.fingerprint.token == fingerprint.token:
                         table = entry.table
                         kind = "full"
-                    elif self._partitioned_path(name):
-                        table, kind = self._execute_partitioned(name, context, cache)
+                    elif partitioned:
+                        table, kind, _, _ = self._partitioned(
+                            name, context, cache, slices
+                        )
                     else:
                         if cache.store is not None and self._persistable[name]:
                             table = self._store_load(cache, context, fingerprint)
@@ -708,7 +725,7 @@ class IFlexEngine:
                             if table is not None:
                                 kind = "incremental"
                 if table is None:
-                    table = self._execute_plan(name, context)
+                    table, _ = self._execute_plan(name, context)
                     kind = "computed"
             reuse_summary[name] = kind
             context.relations[name] = table
@@ -725,20 +742,21 @@ class IFlexEngine:
                     kind == "computed"
                     and cache.store is not None
                     and self._persistable[name]
-                    and not self._partitioned_path(name)
+                    and not partitioned
                 ):
                     # partitioned predicates persist per partition slice
-                    # (inside _execute_partitioned); spilling the merged
-                    # table too would short-circuit the delta path on
-                    # warm runs
+                    # (inside _partitioned); spilling the merged table
+                    # too would short-circuit the delta path on warm runs
                     cache.store.save(fingerprint.token, table)
-            logger.debug(
-                "%s: %d tuples, %d assignments (%s)",
-                name,
-                table.tuple_count(),
-                table.assignment_count(),
-                kind,
-            )
+            if logger.isEnabledFor(logging.DEBUG):
+                # the counts walk the whole table: skip them unless logged
+                logger.debug(
+                    "%s: %d tuples, %d assignments (%s)",
+                    name,
+                    table.tuple_count(),
+                    table.assignment_count(),
+                    kind,
+                )
         elapsed = time.perf_counter() - start
         return ExecutionResult(
             query_table=context.relations[self.unfolded.query],
@@ -748,30 +766,36 @@ class IFlexEngine:
             reuse_summary=reuse_summary,
         )
 
-    def _execute_plan(self, name, context):
-        """One predicate's table: direct on the serial path, partitioned
+    def _execute_plan(self, name, context, traced=False):
+        """One predicate's table over the whole corpus: direct on the
 
-        through the physical layer when workers > 1.  With a tracer the
-        plan runs through the operator-tracing decorator and the
+        serial path, split into a per-partition prefix and a global
+        suffix through the physical layer otherwise.  Returns ``(table,
+        traces)``; operators are traced when ``traced`` or a tracer is
+        attached (``traces`` is ``None`` otherwise).  With a tracer the
         collected rows become nested operator spans, so ``--trace-out``
         runs carry per-operator timing without the caller asking for
         ``explain_analyze``.
         """
-        if self.tracer is not None:
-            from repro.observability.spans import spans_from_traces
+        traced = traced or self.tracer is not None
+        if self.physical is not None:
+            table, traces = self.physical.execute_plan(name, context, traced=traced)
+        elif traced:
             from repro.processor.tracing import trace_plan
 
-            if self.physical is not None:
-                table, traces = self.physical.execute_plan_traced(name, context)
-            else:
-                traced = trace_plan(compile_predicate(name, self.unfolded))
-                table = traced.execute(context)
-                traces = traced.collect()
+            plan = trace_plan(compile_predicate(name, self.unfolded))
+            table, traces = plan.execute(context), plan.collect()
+        else:
+            table, traces = compile_predicate(name, self.unfolded).execute(context), None
+        self._emit_spans(traces)
+        return table, traces
+
+    def _emit_spans(self, traces):
+        """Operator traces as nested tracer spans (no-op untraced)."""
+        if self.tracer is not None and traces is not None:
+            from repro.observability.spans import spans_from_traces
+
             spans_from_traces(traces, self.tracer)
-            return table
-        if self.physical is not None:
-            return self.physical.execute_plan(name, context)
-        return compile_predicate(name, self.unfolded).execute(context)
 
     # -- semi-naive fixpoint over recursive groups ---------------------
 
@@ -855,14 +879,15 @@ class IFlexEngine:
                     and self._persistable[member]
                 ):
                     cache.store.save(fingerprints[member].token, tables[member])
-            logger.debug(
-                "%s: %d tuples, %d assignments (%s, fixpoint group %s)",
-                member,
-                tables[member].tuple_count(),
-                tables[member].assignment_count(),
-                kind,
-                label,
-            )
+            if logger.isEnabledFor(logging.DEBUG):
+                logger.debug(
+                    "%s: %d tuples, %d assignments (%s, fixpoint group %s)",
+                    member,
+                    tables[member].tuple_count(),
+                    tables[member].assignment_count(),
+                    kind,
+                    label,
+                )
         return kind, iterations
 
     def _fixpoint_reuse(self, group, fingerprints, cache, context):
@@ -910,7 +935,6 @@ class IFlexEngine:
         ``config.max_fixpoint_iterations`` is reached while deltas are
         still non-empty.
         """
-        from repro.ctables.ctable import CompactTable
         from repro.ctables.keys import tuple_key
         from repro.processor.plan import compile_rule
 
@@ -996,64 +1020,69 @@ class IFlexEngine:
         finally:
             context.relations[name] = saved
 
-    def _execute_partitioned(self, name, context, cache):
-        """A fully document-local predicate with a partition-keyed cache.
+    def _partitioned(self, name, context, cache, slices, traced=False):
+        """A partition-local predicate with a partition-keyed cache.
 
-        Each corpus partition gets its own fingerprint (same rules, the
-        partition's corpus signature) and its own full-hit / incremental
-        / compute decision; only partitions that could not be reused are
-        re-extracted, on the scheduler.  Returns ``(merged table, kind)``
-        where ``kind`` summarises the weakest reuse across partitions.
+        Each corpus partition gets its own fingerprint and its own
+        full-hit / incremental / compute decision, so only partitions
+        that could not be reused execute, on the scheduler.  A scan of a
+        partition-local upstream reads that upstream's table for the
+        same partition (``slices``), and the partition's fingerprint
+        carries the upstream's *per-partition* token — so an edit to
+        one document dirties one partition of every predicate that
+        chains from it.  This predicate's tables and tokens join
+        ``slices`` for its own downstream.
 
-        Fully-local plans never scan intensional tables (joins over them
-        are global by construction), so the partition fingerprints need
-        no upstream tokens.
-        """
-        store, fingerprints, tables, kinds, missing = self._partition_reuse(
-            name, context, cache
-        )
-        if missing:
-            computed = self.physical.execute_local_partitions(name, missing)
-            for pid, (table, stats) in zip(missing, computed):
-                tables[pid] = table
-                kinds[pid] = "computed"
-                context.stats.merge(stats)
-        return self._finish_partitions(
-            name, cache, store, fingerprints, tables, kinds
-        )
-
-    def _explain_partitioned(self, name, context, cache):
-        """The partitioned reuse path under operator tracing.
-
-        Clean partitions hydrate exactly as in :meth:`_execute_partitioned`;
-        only the dirty ones execute (traced), so the report measures the
-        work a warm run actually performs.  Returns ``(merged table,
-        kind, traces-or-None, reused partition count)``.
+        Returns ``(merged table, kind, traces, reused)``: ``kind``
+        summarises the weakest reuse across partitions, ``traces`` are
+        the merged operator traces of the executed partitions (traced
+        when ``traced`` or a tracer is attached; ``None`` when untraced
+        or nothing executed), ``reused`` counts the partitions served
+        from a cache.  ``execute`` and ``explain_analyze`` share this
+        path.
         """
         from repro.processor.tracing import merge_traces
 
+        traced = traced or self.tracer is not None
         store, fingerprints, tables, kinds, missing = self._partition_reuse(
-            name, context, cache
+            name, context, cache, slices
         )
         traces = None
         if missing:
-            computed = self.physical.execute_local_partitions_traced(name, missing)
+            upstream = {p: parts for p, (parts, _) in slices.items()}
+            computed = self.physical.execute_local_partitions(
+                name, missing, upstream, traced=traced
+            )
             for pid, (table, stats, _) in zip(missing, computed):
                 tables[pid] = table
                 kinds[pid] = "computed"
                 context.stats.merge(stats)
-            traces = merge_traces([collected for _, _, collected in computed])
-        table, kind = self._finish_partitions(
-            name, cache, store, fingerprints, tables, kinds
-        )
-        return table, kind, traces, len(tables) - len(missing)
+            if traced:
+                traces = merge_traces([collected for _, _, collected in computed])
+                self._emit_spans(traces)
+        for pid, fingerprint in enumerate(fingerprints):
+            cache.put(name, fingerprint, tables[pid], partition=pid)
+            if store is not None and kinds[pid] == "computed":
+                store.save(fingerprint.token, tables[pid])
+        slices[name] = (tables, [f.token for f in fingerprints])
+        merged = CompactTable.union(tables, attrs=self.physical.split(name).root.attrs)
+        if "computed" in kinds:
+            kind = "computed"
+        elif "incremental" in kinds:
+            kind = "incremental"
+        else:
+            kind = "full"
+        return merged, kind, traces, len(tables) - len(missing)
 
-    def _partition_reuse(self, name, context, cache):
+    def _partition_reuse(self, name, context, cache, slices):
         """Resolve every partition against the reuse caches.
 
         Returns ``(store, fingerprints, tables, kinds, missing)`` where
         ``missing`` lists the partition ids the caller must re-execute
-        (``tables``/``kinds`` are ``None`` at those slots).
+        (``tables``/``kinds`` are ``None`` at those slots).  Counts each
+        partition of this predicate once in ``partitions_reused`` or
+        ``partitions_recomputed``, so the counters tally (predicate,
+        partition) pairs.
         """
         partitions = self.physical.partitions
         persistable = self._persistable[name]
@@ -1062,9 +1091,12 @@ class IFlexEngine:
         kinds = [None] * len(partitions)
         fingerprints = []
         missing = []
+        upstream = [(p, tokens) for p, (_, tokens) in slices.items()]
         for pid, partition in enumerate(partitions):
             fingerprint = self._fingerprint(
-                name, {}, corpus_sig=("content", partition.content_digest)
+                name,
+                {p: tokens[pid] for p, tokens in upstream},
+                corpus_sig=("content", partition.content_digest),
             )
             fingerprints.append(fingerprint)
             entry = cache.get(name, partition=pid)
@@ -1086,28 +1118,11 @@ class IFlexEngine:
                     continue
             missing.append(pid)
         # the delta accounting: clean partitions fold in from cache,
-        # dirty ones (content digest moved, or cold) re-execute
+        # dirty ones (content digest or an upstream slice moved, or
+        # cold) re-execute
         context.stats.partitions_reused += len(partitions) - len(missing)
         context.stats.partitions_recomputed += len(missing)
         return store, fingerprints, tables, kinds, missing
-
-    def _finish_partitions(self, name, cache, store, fingerprints, tables, kinds):
-        """Cache, spill, and fold the per-partition tables."""
-        from repro.ctables.ctable import CompactTable
-
-        for pid in range(len(tables)):
-            cache.put(name, fingerprints[pid], tables[pid], partition=pid)
-            if store is not None and kinds[pid] == "computed":
-                store.save(fingerprints[pid].token, tables[pid])
-        attrs = self.physical.split(name).root.attrs
-        merged = CompactTable.union(tables, attrs=attrs)
-        if "computed" in kinds:
-            kind = "computed"
-        elif "incremental" in kinds:
-            kind = "incremental"
-        else:
-            kind = "full"
-        return merged, kind
 
     def explain(self):
         """The compiled plan for every predicate, as text."""
@@ -1162,7 +1177,7 @@ class IFlexEngine:
         return result, text
 
     def _explain_analyze_attempt(self):
-        from repro.processor.tracing import render_cache_summary, render_traces, trace_plan
+        from repro.processor.tracing import render_cache_summary, render_traces
 
         cache = None
         if self.result_store is not None:
@@ -1172,6 +1187,7 @@ class IFlexEngine:
         start = time.perf_counter()
         context = self._context()
         tokens = {}
+        slices = {}
         reports = []
         for group in self.order:
             if group in self.recursive_groups:
@@ -1195,50 +1211,45 @@ class IFlexEngine:
                 fingerprint = (
                     self._fingerprint(name, tokens) if cache is not None else None
                 )
+                partitioned = cache is not None and self._partitioned_path(
+                    name, slices
+                )
                 table = None
                 kind = "computed"
                 report = None
-                traces = None
-                if cache is not None:
-                    entry = cache.get(name)
-                    if (
-                        entry is not None
-                        and entry.fingerprint.token == fingerprint.token
-                    ):
-                        table, kind = entry.table, "full"
-                        report = "%s: reused from the in-memory cache" % name
-                    elif self._partitioned_path(name):
-                        table, kind, traces, reused = self._explain_partitioned(
-                            name, context, cache
+                entry = cache.get(name) if cache is not None else None
+                if entry is not None and entry.fingerprint.token == fingerprint.token:
+                    table, kind = entry.table, "full"
+                    report = "%s: reused from the in-memory cache" % name
+                elif partitioned:
+                    table, kind, traces, reused = self._partitioned(
+                        name, context, cache, slices, traced=True
+                    )
+                    if traces is None:
+                        report = (
+                            "%s: all %d partition(s) hydrated from the "
+                            "result cache" % (name, reused)
                         )
-                        if traces is None:
-                            report = (
-                                "%s: all %d partition(s) hydrated from the "
-                                "result cache" % (name, reused)
-                            )
-                        elif reused:
-                            report = (
-                                "%s:\n%s\n(%d clean partition(s) hydrated from"
-                                " the result cache; traces cover the"
-                                " recomputed ones)"
-                                % (name, render_traces(traces), reused)
-                            )
-                        else:
-                            report = "%s:\n%s" % (name, render_traces(traces))
-                    elif cache.store is not None and self._persistable[name]:
-                        hydrated = self._store_load(cache, context, fingerprint)
-                        if hydrated is not None:
-                            table, kind = hydrated, "full"
-                            report = "%s: hydrated from the result cache" % name
-                if table is None:
-                    if self.physical is not None:
-                        table, traces = self.physical.execute_plan_traced(
-                            name, context
+                    elif reused:
+                        report = (
+                            "%s:\n%s\n(%d clean partition(s) hydrated from"
+                            " the result cache; traces cover the"
+                            " recomputed ones)"
+                            % (name, render_traces(traces), reused)
                         )
                     else:
-                        traced = trace_plan(compile_predicate(name, self.unfolded))
-                        table = traced.execute(context)
-                        traces = traced.collect()
+                        report = "%s:\n%s" % (name, render_traces(traces))
+                elif (
+                    cache is not None
+                    and cache.store is not None
+                    and self._persistable[name]
+                ):
+                    hydrated = self._store_load(cache, context, fingerprint)
+                    if hydrated is not None:
+                        table, kind = hydrated, "full"
+                        report = "%s: hydrated from the result cache" % name
+                if table is None:
+                    table, traces = self._execute_plan(name, context, traced=True)
                     report = "%s:\n%s" % (name, render_traces(traces))
                 context.relations[name] = table
                 reports.append(report)
@@ -1249,13 +1260,9 @@ class IFlexEngine:
                         kind == "computed"
                         and cache.store is not None
                         and self._persistable[name]
-                        and not self._partitioned_path(name)
+                        and not partitioned
                     ):
                         cache.store.save(fingerprint.token, table)
-                if self.tracer is not None and traces is not None:
-                    from repro.observability.spans import spans_from_traces
-
-                    spans_from_traces(traces, self.tracer)
         reports.append(render_cache_summary(context.stats))
         elapsed = time.perf_counter() - start
         result = ExecutionResult(
@@ -1292,30 +1299,45 @@ class IFlexEngine:
         (the partitioned path fingerprints each corpus slice
         separately).
         """
-        rules = self.unfolded.rules_for(name)
-        bases = []
-        constraints = []
-        upstream = []
-        for rule in rules:
-            base, cons = _split_rule(rule)
-            bases.append(base)
-            constraints.append(cons)
-            for atom in rule.body_atoms(PredicateAtom):
-                if atom.name in self.unfolded.intensional:
-                    # every upstream token is set by evaluation order;
-                    # .get only matters on cacheless explain paths where
-                    # the fingerprint is never consulted
-                    upstream.append((atom.name, tokens.get(atom.name)))
+        bases, constraints, upstream = self._rule_parts(name)
         return _Fingerprint(
-            bases=tuple(bases),
-            constraints=tuple(constraints),
-            upstream=tuple(sorted(set(upstream))),
+            bases=bases,
+            constraints=constraints,
+            # every upstream token is set by evaluation order; .get only
+            # matters on cacheless explain paths where the fingerprint
+            # is never consulted
+            upstream=tuple((p, tokens.get(p)) for p in upstream),
             corpus_sig=(
                 ("content", self._active.content_digest)
                 if corpus_sig is None
                 else corpus_sig
             ),
         )
+
+    def _rule_parts(self, name):
+        """``(bases, constraints, upstream names)`` of ``name``'s rules.
+
+        The rule-derived part of every fingerprint of ``name``: rules
+        never change for one engine, so it is built once and shared by
+        the whole-table and every per-partition fingerprint.
+        """
+        parts = self._parts.get(name)
+        if parts is None:
+            bases = []
+            constraints = []
+            upstream = set()
+            for rule in self.unfolded.rules_for(name):
+                base, cons = _split_rule(rule)
+                bases.append(base)
+                constraints.append(cons)
+                upstream.update(
+                    atom.name
+                    for atom in rule.body_atoms(PredicateAtom)
+                    if atom.name in self.unfolded.intensional
+                )
+            parts = (tuple(bases), tuple(constraints), tuple(sorted(upstream)))
+            self._parts[name] = parts
+        return parts
 
     def _incremental(self, name, entry, fingerprint, context):
         """Apply added-constraint deltas to a cached table, or None."""

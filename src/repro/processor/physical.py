@@ -6,7 +6,10 @@ and the operator trees.  For each predicate it
 1. asks the plan-analysis layer (:mod:`repro.processor.split`) for the
    document-local prefix / global suffix split;
 2. partitions the corpus (``Corpus.partition``) and executes the prefix
-   once per partition on the configured :class:`Scheduler` backend;
+   once per partition on the configured :class:`Scheduler` backend —
+   a scan of a partition-local upstream predicate reads that
+   predicate's table *for the same partition*, which each partition
+   context binds into ``context.relations``;
 3. unions the per-partition compact tables (``CompactTable.union``,
    preserving maybe flags and multiset semantics — and, because
    partitions are contiguous document slices processed in order, the
@@ -26,11 +29,12 @@ fresh trees mean no operator state is shared across workers.
 from contextlib import nullcontext
 
 from repro.ctables.ctable import CompactTable
+from repro.features.registry import default_registry
 from repro.observability.logs import get_logger
 from repro.processor.context import ExecutionContext
 from repro.processor.plan import compile_predicate
 from repro.processor.schedulers import TaskError, make_scheduler
-from repro.processor.split import PlanSplit, bind_tables
+from repro.processor.split import PlanSplit, align, bind_tables
 from repro.processor.tracing import merge_traces, trace_plan
 
 __all__ = ["PhysicalExecutor"]
@@ -61,6 +65,16 @@ class PhysicalExecutor:
     grafted under the scheduler span on arrival.  Timestamps stay
     comparable because ``time.perf_counter`` is the system-wide
     monotonic clock, shared by forked children.
+
+    ``order`` is the program's evaluation order (groups of predicate
+    names, dependencies first); with it the executor judges which
+    predicates are partition-local (:func:`~repro.processor.split.align`).
+    Without it every intensional scan stays global.
+
+    The partition-level methods take ``upstream`` — ``{predicate:
+    [table per partition]}`` for the partition-local predicates this
+    execution computed partition by partition.  A plan that scans only
+    those is local as a whole; any other scan reads the merged table.
     """
 
     def __init__(
@@ -72,10 +86,14 @@ class PhysicalExecutor:
         scheduler=None,
         index_store=None,
         tracer=None,
+        order=None,
     ):
         self.program = program
+        self.order = order or ()
         self.corpus = corpus
-        self.features = features
+        # resolved once: feature objects are stateless, so every
+        # partition context shares one registry, as a serial run does
+        self.features = features or default_registry()
         self.config = config
         self.tracer = tracer
         #: shared per-document feature indexes (thread-shared /
@@ -94,7 +112,9 @@ class PhysicalExecutor:
         else:
             self.partitions = corpus.partition(workers) if workers > 1 else [corpus]
         self.timeout = getattr(config, "partition_timeout", None)
+        self._plans = {}
         self._splits = {}
+        self._aligned = None
         #: fork-inherited objects result spans point into; the process
         #: backend ships these by reference instead of re-pickling the
         #: corpus once per partition
@@ -120,13 +140,34 @@ class PhysicalExecutor:
     # ------------------------------------------------------------------
     # plan analysis (cached per predicate; used for routing decisions)
     # ------------------------------------------------------------------
-    def split(self, name):
-        if name not in self._splits:
-            self._splits[name] = PlanSplit(compile_predicate(name, self.program))
-        return self._splits[name]
+    def _plan(self, name):
+        """The predicate's compiled plan, for analysis only (never run)."""
+        if name not in self._plans:
+            self._plans[name] = compile_predicate(name, self.program)
+        return self._plans[name]
 
-    def fully_local(self, name):
-        return self.split(name).fully_local
+    @property
+    def aligned(self):
+        """``{predicate: doc-anchored positions}`` of the partition-local
+        predicates, judged once in evaluation order."""
+        if self._aligned is None:
+            aligned = {}
+            for group in self.order:
+                for name in group:
+                    align(name, self._plan(name), aligned)
+            self._aligned = aligned
+        return self._aligned
+
+    def split(self, name, upstream=None):
+        """The plan split of ``name`` given the ``upstream`` slices."""
+        aligned = {p: self.aligned[p] for p in upstream or () if p in self.aligned}
+        key = (name, frozenset(aligned))
+        if key not in self._splits:
+            self._splits[key] = PlanSplit(self._plan(name), aligned)
+        return self._splits[key]
+
+    def fully_local(self, name, upstream=None):
+        return self.split(name, upstream).fully_local
 
     # ------------------------------------------------------------------
     # partition-level execution
@@ -185,13 +226,13 @@ class PhysicalExecutor:
                 self.scheduler, "last_map_payload_bytes", 0
             )
 
-    def _partition_context(self, pid, tracer=None):
+    def _partition_context(self, pid, tracer=None, upstream=None):
         # The index store is shared (document content never changes);
         # the eval cache is *fresh* per partition so hit/miss counters
         # are backend-independent and sum to the serial counts — cache
         # keys are document-scoped and partitions document-disjoint, so
         # a shared cache could not produce extra hits anyway.
-        return ExecutionContext(
+        context = ExecutionContext(
             self.program,
             self.partitions[pid],
             self.features,
@@ -199,6 +240,9 @@ class PhysicalExecutor:
             index_store=self.index_store,
             tracer=tracer,
         )
+        for predicate, tables in (upstream or {}).items():
+            context.relations[predicate] = tables[pid]
+        return context
 
     def _worker_tracer(self):
         """A fresh tracer for one partition task, or ``None``.
@@ -213,128 +257,93 @@ class PhysicalExecutor:
 
         return Tracer()
 
-    def execute_local_partitions(self, name, pids=None):
+    def _run_local_roots(self, name, pids, upstream, traced):
+        """Execute the split's local roots once per partition in ``pids``.
+
+        Returns ``[(tables, stats, collected)]`` in ``pids`` order:
+        one table per local root, and — when ``traced`` — one operator
+        trace list per local root (``None`` otherwise).  Each task
+        compiles a fresh plan, so no operator state crosses workers;
+        the upstream slices reach forked workers by inheritance.
+        """
+        whole = self.split(name, upstream).fully_local
+
+        def work(pid):
+            tracer = self._worker_tracer()
+            context = self._partition_context(pid, tracer, upstream)
+            plan = compile_predicate(name, self.program)
+            roots = [plan] if whole else PlanSplit(plan).local_roots
+            if traced:
+                roots = [trace_plan(root) for root in roots]
+            with _partition_span(tracer, self.partitions[pid], pid):
+                tables = [root.execute(context) for root in roots]
+            collected = [root.collect() for root in roots] if traced else None
+            if tracer is None:
+                return tables, context.stats, collected
+            return tables, context.stats, collected, tracer.spans
+
+        return self._map(work, list(pids), label=name)
+
+    def execute_local_partitions(self, name, pids=None, upstream=None, traced=False):
         """Run a *fully local* predicate plan on each requested partition.
 
-        Returns ``[(table, stats)]`` in partition order.  The engine's
-        partition-keyed reuse cache calls this with only the partitions
-        whose cached tables could not be reused.
+        Returns ``[(table, stats, traces)]`` in partition order;
+        ``traces`` is the operator trace list when ``traced`` (else
+        ``None``).  The engine's partition-keyed reuse cache calls this
+        with only the partitions whose cached tables could not be
+        reused, so a traced call measures exactly the recomputed work.
         """
-        pids = list(range(len(self.partitions)) if pids is None else pids)
-
-        def work(pid):
-            tracer = self._worker_tracer()
-            context = self._partition_context(pid, tracer)
-            with _partition_span(tracer, self.partitions[pid], pid):
-                table = compile_predicate(name, self.program).execute(context)
-            if tracer is None:
-                return table, context.stats
-            return table, context.stats, tracer.spans
-
-        return self._map(work, pids, label=name)
-
-    def execute_local_partitions_traced(self, name, pids=None):
-        """Like :meth:`execute_local_partitions`, with operator traces.
-
-        Returns ``[(table, stats, traces)]`` in partition order.
-        ``explain_analyze`` calls this for the partitions a warm result
-        cache could not hydrate, so the report measures exactly the
-        recomputed work.
-        """
-        pids = list(range(len(self.partitions)) if pids is None else pids)
-
-        def work(pid):
-            tracer = self._worker_tracer()
-            context = self._partition_context(pid, tracer)
-            traced = trace_plan(compile_predicate(name, self.program))
-            with _partition_span(tracer, self.partitions[pid], pid):
-                table = traced.execute(context)
-            collected = traced.collect()
-            if tracer is None:
-                return table, context.stats, collected
-            return table, context.stats, collected, tracer.spans
-
-        return self._map(work, pids, label=name)
+        pids = range(len(self.partitions)) if pids is None else pids
+        return [
+            (tables[0], stats, collected[0] if traced else None)
+            for tables, stats, collected in self._run_local_roots(
+                name, pids, upstream, traced
+            )
+        ]
 
     # ------------------------------------------------------------------
     # whole-plan execution
     # ------------------------------------------------------------------
-    def execute_plan(self, name, context):
+    def execute_plan(self, name, context, traced=False):
         """Execute one predicate's plan over the whole corpus.
 
-        Parallel runs partition the document-local prefix across the
-        scheduler; serial runs (or plans with no local work, e.g. pure
-        joins over intensional tables) execute the tree directly.
-        Partition statistics merge into ``context.stats``, so counters
-        match a serial execution exactly.
+        Returns ``(table, traces)``; ``traces`` is ``None`` unless
+        ``traced``, else a depth-ordered list of
+        :class:`~repro.processor.tracing.OperatorTrace` rows.  Parallel
+        runs partition the document-local prefix across the scheduler;
+        serial runs (or plans with no local work, e.g. pure joins over
+        merged intensional tables) execute the tree directly.  Partition
+        statistics merge into ``context.stats``, so counters match a
+        serial execution exactly.  Traced prefix operators are measured
+        in every partition and merged positionally (tuple counts sum to
+        the serial counts; elapsed is the summed per-partition self
+        time), nested under the suffix's gather leaf so
+        ``explain_analyze`` still attributes cost per operator.
         """
         info = self.split(name)
         if not self.parallel or not info.has_local_work:
-            return compile_predicate(name, self.program).execute(context)
+            plan = compile_predicate(name, self.program)
+            if not traced:
+                return plan.execute(context), None
+            plan = trace_plan(plan)
+            return plan.execute(context), plan.collect()
 
-        def work(pid):
-            tracer = self._worker_tracer()
-            partition_context = self._partition_context(pid, tracer)
-            split = PlanSplit(compile_predicate(name, self.program))
-            with _partition_span(tracer, self.partitions[pid], pid):
-                tables = [op.execute(partition_context) for op in split.local_roots]
-            if tracer is None:
-                return tables, partition_context.stats
-            return tables, partition_context.stats, tracer.spans
-
-        per_partition = self._map(work, list(range(len(self.partitions))), label=name)
-        for _, stats in per_partition:
-            context.stats.merge(stats)
-        gathered = self._gather(info, [tables for tables, _ in per_partition])
-        suffix = bind_tables(
-            PlanSplit(compile_predicate(name, self.program)),
-            gathered,
-            partitions=len(self.partitions),
-        )
-        return suffix.execute(context)
-
-    def execute_plan_traced(self, name, context):
-        """Like :meth:`execute_plan`, with operator-level measurements.
-
-        Returns ``(table, traces)`` where ``traces`` is a depth-ordered
-        list of :class:`~repro.processor.tracing.OperatorTrace` rows.
-        Prefix operators are measured in every partition and merged
-        positionally (tuple counts sum to the serial counts; elapsed is
-        the summed per-partition self time), nested under the suffix's
-        gather leaf so ``explain_analyze`` still attributes cost per
-        operator.
-        """
-        info = self.split(name)
-        if not self.parallel or not info.has_local_work:
-            traced = trace_plan(compile_predicate(name, self.program))
-            table = traced.execute(context)
-            return table, traced.collect()
-
-        def work(pid):
-            tracer = self._worker_tracer()
-            partition_context = self._partition_context(pid, tracer)
-            split = PlanSplit(compile_predicate(name, self.program))
-            traced = [trace_plan(op) for op in split.local_roots]
-            with _partition_span(tracer, self.partitions[pid], pid):
-                tables = [t.execute(partition_context) for t in traced]
-            collected = [t.collect() for t in traced]
-            if tracer is None:
-                return tables, collected, partition_context.stats
-            return tables, collected, partition_context.stats, tracer.spans
-
-        per_partition = self._map(work, list(range(len(self.partitions))), label=name)
-        for _, _, stats in per_partition:
+        pids = range(len(self.partitions))
+        per_partition = self._run_local_roots(name, pids, None, traced)
+        for _, stats, _ in per_partition:
             context.stats.merge(stats)
         gathered = self._gather(info, [tables for tables, _, _ in per_partition])
-        merged = [
-            merge_traces([collected[i] for _, collected, _ in per_partition])
-            for i in range(len(info.local_roots))
-        ]
         suffix = bind_tables(
             PlanSplit(compile_predicate(name, self.program)),
             gathered,
             partitions=len(self.partitions),
         )
+        if not traced:
+            return suffix.execute(context), None
+        merged = [
+            merge_traces([collected[i] for _, _, collected in per_partition])
+            for i in range(len(info.local_roots))
+        ]
         traced_suffix = trace_plan(suffix)
         table = traced_suffix.execute(context)
         return table, _collect_with_prefixes(traced_suffix, merged)

@@ -9,14 +9,28 @@ and splits it into
 *document-local prefix*
     maximal subtrees whose output over the whole corpus equals the
     union of their outputs over the corpus partitions — extensional
-    scans, ``from`` generators, constraint/condition selections,
-    projections, per-tuple p-predicates, and ψ whose group keys contain
-    a document-anchored attribute;
+    scans, scans of *partition-local* intensional tables (see below),
+    ``from`` generators, constraint/condition selections, projections,
+    per-tuple p-predicates, and ψ whose group keys contain a
+    document-anchored attribute;
 
 *global suffix*
     everything above those subtrees — cross-document joins, scans of
-    already-merged intensional tables, multi-rule unions, and any ψ
-    whose groups may span documents.
+    merged intensional tables, multi-rule unions, and any ψ whose
+    groups may span documents.
+
+A predicate is *partition-local* when its whole plan is document-local.
+Its table over the corpus is then the union, in partition order, of its
+tables over the partitions — the same argument that makes a spanner's
+output over a corpus the union of its per-document outputs.  A rule
+that scans such a predicate can therefore read the predicate's table
+*for one partition* and stay per-partition itself.  The analysis takes
+this as an *aligned* map ``{predicate: doc-anchored output
+positions}``, built in evaluation order by :func:`align`, so locality
+chains transitively (extraction → query rule → a rule over the query
+rule).  The physical layer passes only the predicates whose
+per-partition tables one execution actually holds; every other
+intensional scan stays global.
 
 The analysis is purely structural, so re-compiling the same predicate
 yields the same split: the physical layer relies on this to execute the
@@ -37,12 +51,14 @@ from repro.processor.operators import (
     PPredicateOp,
     ProjectOp,
     ScanExtensional,
+    ScanIntensional,
     UnionOp,
 )
 
 __all__ = [
     "GatherOp",
     "PlanSplit",
+    "align",
     "split_plan",
     "bind_tables",
     "walk_plan",
@@ -87,36 +103,44 @@ class GatherOp(Operator):
         )
 
 
-def _locality(op):
+def _locality(op, aligned):
     """``(local, doc_attrs)`` for one subtree.
 
     ``local`` — executing per partition and unioning equals executing
     whole-corpus; ``doc_attrs`` — output attributes guaranteed to hold
-    spans of the tuple's single source document.
+    spans of the tuple's single source document.  ``aligned`` maps the
+    partition-local predicates whose per-partition tables are at hand
+    to their doc-anchored output positions.
     """
     if isinstance(op, ScanExtensional):
         return True, set(op.attrs)
+    if isinstance(op, ScanIntensional):
+        positions = aligned.get(op.predicate)
+        if positions is None:
+            return False, set()
+        # the scan renames positionally, so anchoring carries over
+        return True, {op.attrs[i] for i in positions}
     if isinstance(op, FromOp):
-        local, docs = _locality(op.child)
+        local, docs = _locality(op.child, aligned)
         # the generated cell is expand({contain(s_i)}) over anchors of
         # the source document, so the output attr is doc-anchored too
         return local, docs | {op.out_attr}
     if isinstance(op, (ConstraintSelect, ConditionSelect)):
         # per-tuple filters; surviving cells hold subsets of the input
         # assignments, so doc anchoring is preserved
-        return _locality(op.child)
+        return _locality(op.child, aligned)
     if isinstance(op, ProjectOp):
-        local, docs = _locality(op.child)
+        local, docs = _locality(op.child, aligned)
         return local, docs & set(op.attrs)
     if isinstance(op, PPredicateOp):
         # the procedure runs once per possible input tuple: per-tuple
         # work.  Input cells are re-written to enumerated values — for a
         # doc-anchored attr those are spans of the same document — while
         # procedure *outputs* are arbitrary and never doc-anchored.
-        local, docs = _locality(op.child)
+        local, docs = _locality(op.child, aligned)
         return local, set(docs)
     if isinstance(op, AnnotateOp):
-        local, docs = _locality(op.child)
+        local, docs = _locality(op.child, aligned)
         effective = [a for a in op.annotated_attrs if a in op.child.attrs]
         if not effective:
             # existence-only ψ flags tuples individually
@@ -133,37 +157,67 @@ def _locality(op):
         # multiset relative to a serial child-by-child union, so unions
         # stay in the suffix (their children may still be local)
         return False, set()
-    # JoinOp pairs tuples across documents; ScanIntensional/TableSource/
-    # GatherOp read merged tables; unknown operators: conservatively global
+    # JoinOp pairs tuples across documents; TableSource/GatherOp read
+    # merged tables; unknown operators: conservatively global
     return False, set()
 
 
-def subtree_locality(op):
+def subtree_locality(op, aligned=None):
     """Public form of the locality judgment for one subtree.
 
     Returns ``(local, doc_attrs)`` — whether the subtree is
     document-local and which output attributes are doc-anchored; the
     same judgment :func:`split_plan` uses, exposed for static analysis.
     """
-    return _locality(op)
+    return _locality(op, aligned or {})
 
 
-def _collect_local_roots(op, out):
-    local, _ = _locality(op)
+def align(name, plan, aligned):
+    """Record ``name`` in ``aligned`` when its plan is partition-local.
+
+    Called once per predicate in evaluation order (dependencies first),
+    so a plan sees every upstream predicate already judged.  A member of
+    a recursive component never qualifies: some member scans another
+    that is not judged yet, and that scan is global.  Returns whether
+    the predicate was recorded.
+    """
+    local, docs = _locality(plan, aligned)
+    if local:
+        aligned[name] = frozenset(
+            i for i, attr in enumerate(plan.attrs) if attr in docs
+        )
+    return local
+
+
+def _collect_local_roots(op, out, aligned):
+    local, _ = _locality(op, aligned)
     if local:
         out.append(op)
         return
     for child in op.children():
-        _collect_local_roots(child, out)
+        _collect_local_roots(child, out, aligned)
 
 
 class PlanSplit:
-    """One compiled plan, analyzed into prefix subtrees + suffix."""
+    """One compiled plan, analyzed into prefix subtrees + suffix.
 
-    def __init__(self, root):
+    ``aligned`` (see :func:`align`) names the partition-local upstream
+    predicates whose per-partition tables are at hand.  Their scans
+    count as local only when that makes the *whole* plan local: then
+    the delta path reuses the plan partition by partition.  Under a
+    global operator a prefix over an upstream slice would re-run on
+    every partition whenever the suffix runs, where one pass over the
+    merged table does the same work — so joins, unions and ψ grouped by
+    a non-anchored key over such scans split exactly as without them.
+    """
+
+    def __init__(self, root, aligned=None):
         self.root = root
+        aligned = aligned or {}
+        if aligned and not _locality(root, aligned)[0]:
+            aligned = {}
         self.local_roots = []
-        _collect_local_roots(root, self.local_roots)
+        _collect_local_roots(root, self.local_roots, aligned)
         #: the whole plan is document-local (the common shape for an
         #: unfolded single-rule extraction predicate)
         self.fully_local = len(self.local_roots) == 1 and self.local_roots[0] is root
@@ -186,9 +240,9 @@ class PlanSplit:
         return "\n".join(render(self.root, 0))
 
 
-def split_plan(plan):
+def split_plan(plan, aligned=None):
     """Analyze one compiled plan; returns a :class:`PlanSplit`."""
-    return PlanSplit(plan)
+    return PlanSplit(plan, aligned)
 
 
 def bind_tables(split, tables, partitions=1):

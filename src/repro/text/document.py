@@ -8,6 +8,8 @@ IE engine never touches HTML directly.
 """
 
 import bisect
+import hashlib
+from array import array
 from dataclasses import dataclass
 
 from repro.text.tokenize import tokenize
@@ -52,9 +54,22 @@ class Document:
         Section labels (headers), in document order.
     meta:
         Free-form provenance (source table, record index, ...).
+
+    Nothing mutates a document after construction (an edit is a new
+    document with the same id), which is what lets it cache its tokens,
+    their start offsets and its content digest.
     """
 
-    __slots__ = ("doc_id", "text", "regions", "labels", "meta", "_tokens")
+    __slots__ = (
+        "doc_id",
+        "text",
+        "regions",
+        "labels",
+        "meta",
+        "_tokens",
+        "_starts",
+        "_digest",
+    )
 
     def __init__(self, doc_id, text, regions=None, labels=None, meta=None):
         self.doc_id = doc_id
@@ -67,6 +82,8 @@ class Document:
         self.labels = list(labels or [])
         self.meta = dict(meta or {})
         self._tokens = None
+        self._starts = None
+        self._digest = None
 
     # ------------------------------------------------------------------
     # identity
@@ -94,16 +111,52 @@ class Document:
             self._tokens = tokenize(self.text)
         return self._tokens
 
+    def _token_range(self, start, end):
+        """``(lo, hi)``: tokens ``lo..hi-1`` lie entirely inside
+        ``[start, end)``.
+
+        Each bound is one bisection over the token start offsets,
+        cached as a compact integer array on first use.  Tokens are
+        non-empty and do not overlap, so of the tokens starting before
+        ``end`` only the last can run past it.
+        """
+        if self._starts is None:
+            self._starts = array("I", [t.start for t in self.tokens])
+        lo = bisect.bisect_left(self._starts, start)
+        hi = bisect.bisect_left(self._starts, end)
+        if hi > lo and self.tokens[hi - 1].end > end:
+            hi -= 1
+        return lo, max(lo, hi)
+
     def tokens_in(self, start, end):
         """Tokens lying entirely inside ``[start, end)``."""
-        starts = [t.start for t in self.tokens]
-        lo = bisect.bisect_left(starts, start)
-        out = []
-        for token in self.tokens[lo:]:
-            if token.end > end:
-                break
-            out.append(token)
-        return out
+        lo, hi = self._token_range(start, end)
+        return self.tokens[lo:hi]
+
+    def count_tokens_in(self, start, end):
+        """How many tokens lie entirely inside ``[start, end)``."""
+        lo, hi = self._token_range(start, end)
+        return hi - lo
+
+    # ------------------------------------------------------------------
+    # content identity
+    # ------------------------------------------------------------------
+    @property
+    def content_digest(self):
+        """A short digest (16 bytes) of the id, text and regions.
+
+        What content-addressed caches key a document on (see
+        ``repro.columnar.store.corpus_digest``): editing a document in
+        place — same id, new text — changes it.  Computed once.
+        """
+        if self._digest is None:
+            parts = [repr(self.doc_id), repr(self.text)]
+            for kind in sorted(self.regions):
+                if self.regions[kind]:
+                    parts.append("%s=%r" % (kind, self.regions[kind]))
+            payload = "\x1f".join(parts).encode("utf-8")
+            self._digest = hashlib.sha256(payload).digest()[:16]
+        return self._digest
 
     # ------------------------------------------------------------------
     # regions

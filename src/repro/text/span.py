@@ -132,7 +132,7 @@ class Span:
 
     def count_token_aligned_subspans(self):
         """How many sub-spans :meth:`token_aligned_subspans` would yield."""
-        n = len(self.tokens)
+        n = self.doc.count_tokens_in(self.start, self.end)
         return n * (n + 1) // 2
 
     # ------------------------------------------------------------------

@@ -179,6 +179,35 @@ class TestPlanReport:
         assert row.locality == "local"
         assert row.joins == 0
 
+    def test_rule_over_a_partition_local_predicate_is_local(self):
+        # the executor runs the query rule partition by partition over
+        # the extraction's per-partition tables; the report agrees
+        result = lint(
+            """
+            items(d, <t>) :- docs(d), title(@d, t).
+            q(t) :- items(d, t), bold_font(t) = yes.
+            title(@d, t) :- from(@d, t), numeric(t) = yes.
+            """
+        )
+        rows = {row.predicate: row for row in result.plan_report.rows}
+        assert rows["items"].locality == "local"
+        assert rows["q"].locality == "local"
+        assert "ALOG021" not in codes(result)
+
+    def test_join_over_partition_local_predicates_stays_global(self):
+        result = lint(
+            """
+            a(d, <s>) :- docs(d), ieA(@d, s).
+            b(e, <t>) :- docs(e), ieB(@e, t).
+            q(s, t) :- a(d, s), b(e, t), s < t.
+            ieA(@d, s) :- from(@d, s), numeric(s) = yes.
+            ieB(@e, t) :- from(@e, t), numeric(t) = yes.
+            """
+        )
+        rows = {row.predicate: row for row in result.plan_report.rows}
+        assert rows["a"].locality == rows["b"].locality == "local"
+        assert rows["q"].locality == "global"
+
     def test_render_is_a_table_with_one_line_per_rule(self):
         text = lint(LINKED_JOIN).plan_report.render()
         lines = text.splitlines()

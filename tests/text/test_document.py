@@ -1,6 +1,8 @@
 """Document model tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.text.document import Document, Label
 
@@ -61,6 +63,58 @@ class TestRegionQueries:
         doc = make_doc("one two three")
         tokens = doc.tokens_in(4, 6)  # cuts "two" short
         assert tokens == []
+
+
+def linear_tokens_in(doc, start, end):
+    """The definition ``tokens_in`` bisects: scan from the first token
+    starting at or after ``start`` until one ends past ``end``."""
+    out = []
+    for token in doc.tokens:
+        if token.start < start:
+            continue
+        if token.end > end:
+            break
+        out.append(token)
+    return out
+
+
+class TestTokenRanges:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        text=st.text(alphabet="ab 1.,$-", max_size=40),
+        bounds=st.tuples(st.integers(-2, 45), st.integers(-2, 45)),
+    )
+    def test_bisection_matches_the_linear_scan(self, text, bounds):
+        doc = make_doc(text)
+        start, end = bounds
+        expected = linear_tokens_in(doc, start, end)
+        assert doc.tokens_in(start, end) == expected
+        assert doc.count_tokens_in(start, end) == len(expected)
+
+    def test_span_counts_without_materialising_tokens(self):
+        from repro.text.span import Span
+
+        doc = make_doc("one two three four")
+        span = Span(doc, 4, 18)  # two three four
+        assert span.count_token_aligned_subspans() == 6
+        assert len(span.token_aligned_subspans()) == 6
+
+
+class TestContentDigest:
+    def test_equal_content_equal_digest(self):
+        assert make_doc("abc").content_digest == make_doc("abc").content_digest
+
+    def test_text_regions_and_id_all_count(self):
+        base = make_doc("abc def")
+        assert make_doc("abc deg").content_digest != base.content_digest
+        bold = make_doc("abc def", regions={"bold": [(0, 3)]})
+        assert bold.content_digest != base.content_digest
+        assert Document("e", "abc def").content_digest != base.content_digest
+
+    def test_digest_is_short_and_cached(self):
+        doc = make_doc("abc")
+        assert len(doc.content_digest) == 16
+        assert doc.content_digest is doc.content_digest
 
 
 class TestLabels:
